@@ -64,7 +64,6 @@ from repro.analysis.reprolint.sarif import to_sarif, validate_sarif
 from repro.pram.sanitizer import (  # noqa: F401  (discoverability re-export)
     PramSanitizer,
     RaceReport,
-    active_sanitizer,
     sanitizing,
 )
 
@@ -101,6 +100,5 @@ __all__ = [
     "validate_sarif",
     "PramSanitizer",
     "RaceReport",
-    "active_sanitizer",
     "sanitizing",
 ]

@@ -82,8 +82,8 @@ RL004_EXEMPT: Tuple[str, ...] = (
 )
 
 #: Carve-out from RL005's blanket scope: the runtime package hosts the
-#: replacement API, so reads of the deprecated names there are the
-#: shims' own implementation plumbing, not call sites to migrate.
+#: replacement API (``current_context()`` and the scoped managers), so
+#: its own names are not call sites of the retired accessors.
 RL005_EXEMPT: Tuple[str, ...] = ("src/repro/runtime/",)
 
 

@@ -30,9 +30,9 @@ RL005  No reads of the retired global-singleton accessors
        (``current_tracker``, ``active_sanitizer``/``current_sanitizer``,
        ``active_fault_plan``, ``set_default_backend``) outside the
        runtime package that hosts their replacement: ambient state is
-       read from ``repro.runtime.current_context()``.  The deprecated
-       shim *definitions* are flagged too, so retiring one forces the
-       allowlist entry to be removed with it.
+       read from ``repro.runtime.current_context()``.  *Definitions*
+       of those names are flagged too, so the accessors cannot come
+       back.
 RL010  Observational purity of the tracing layer (``repro.obs``): code
        there may never mutate caller-owned state — no subscript or
        augmented stores into parameters, no attribute stores on them,
@@ -288,8 +288,6 @@ def _is_charge_call(node: ast.Call) -> bool:
         if isinstance(base, ast.Attribute):
             # ctx.tracker.add / current_context().tracker.add
             return base.attr == "tracker"
-        if isinstance(base, ast.Call) and isinstance(base.func, ast.Name):
-            return base.func.id == "current_tracker"
     return False
 
 
@@ -519,8 +517,8 @@ def check_rl004(tree: ast.Module, path: str) -> List[Violation]:
     return violations
 
 
-#: The retired singleton accessors (and their shim definitions).  Reads
-#: of ambient run state go through ``repro.runtime.current_context()``.
+#: The retired singleton accessors.  Reads of ambient run state go
+#: through ``repro.runtime.current_context()``.
 _RL005_ACCESSORS = frozenset(
     {
         "current_tracker",
@@ -548,9 +546,8 @@ def check_rl005(tree: ast.Module, path: str) -> List[Violation]:
                     col=fn.col_offset,
                     qualname=qualname,
                     message=(
-                        f"definition of deprecated accessor {fn.name}(); "
-                        "shims live behind allowlist entries until "
-                        "retirement"
+                        f"definition of retired accessor {fn.name}(); "
+                        "read repro.runtime.current_context() instead"
                     ),
                 )
             )
@@ -573,7 +570,7 @@ def check_rl005(tree: ast.Module, path: str) -> List[Violation]:
                 col=node.col_offset,
                 qualname=qualnames.get(id(node), "<module>"),
                 message=(
-                    f"deprecated global-singleton accessor {name}(); read "
+                    f"retired global-singleton accessor {name}(); read "
                     "repro.runtime.current_context() instead"
                 ),
             )

@@ -1099,9 +1099,8 @@ RULE_DOCS: Dict[str, str] = {
         "No reads of the retired global-singleton accessors outside the\n"
         "runtime package.\n\n"
         "Ambient state (tracker, sanitizer, fault plan, backend) is read\n"
-        "from repro.runtime.current_context(). Deprecated shim\n"
-        "definitions are flagged too, so retiring one forces its\n"
-        "allowlist entry out with it."
+        "from repro.runtime.current_context(). Definitions of those\n"
+        "names are flagged too, so the accessors cannot come back."
     ),
     "RL006": (
         "Worker-count taint: no value derived from\n"

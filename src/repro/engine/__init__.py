@@ -31,7 +31,6 @@ from repro.engine.backend import (
     ExecutionBackend,
     current_backend,
     resolve_backend,
-    set_default_backend,
     use_backend,
 )
 from repro.engine.core import (
@@ -79,7 +78,6 @@ __all__ = [
     "DEFAULT_BACKEND_NAME",
     "current_backend",
     "resolve_backend",
-    "set_default_backend",
     "use_backend",
     "Workspace",
     "NullWorkspace",

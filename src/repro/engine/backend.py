@@ -35,8 +35,7 @@ Selection: ``fast`` is the default.  The bound backend rides in the
 (``current_context().backend``); :func:`use_backend` scopes a switch
 to a ``with`` block by activating a derived context (the parity tests
 do this), and the CLI's ``--backend`` flag builds its command context
-with the chosen backend.  :func:`set_default_backend` survives as a
-deprecated shim that mutates the process-root context.
+with the chosen backend.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ __all__ = [
     "DEFAULT_BACKEND_NAME",
     "current_backend",
     "resolve_backend",
-    "set_default_backend",
     "use_backend",
 ]
 
@@ -157,29 +155,6 @@ def current_backend() -> ExecutionBackend:
     from repro.runtime.context import current_context
 
     return current_context().backend
-
-
-def set_default_backend(
-    spec: Union[str, ExecutionBackend],
-) -> ExecutionBackend:
-    """Deprecated: mutate the process-root context's backend.
-
-    Shim kept for downstream compatibility; returns the previous root
-    backend.  It does not affect already-activated contexts — scope
-    switches with :func:`use_backend` or build an explicit
-    :class:`~repro.runtime.context.ExecutionContext` instead.  Warns
-    once per process.
-    """
-    from repro.runtime.context import root_context, warn_deprecated_accessor
-
-    warn_deprecated_accessor(
-        "repro.engine.backend.set_default_backend",
-        "ExecutionContext(backend=...).activate()",
-    )
-    root = root_context()
-    previous = root.backend
-    root.backend = resolve_backend(spec)
-    return previous
 
 
 @contextmanager

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.backend import resolve_backend
 from repro.errors import ParameterError
+from repro.experiments.registry import get_algorithm
 from repro.graphs.builder import from_edges
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
@@ -235,7 +237,20 @@ class CaseConfig:
 
     @classmethod
     def from_json(cls, data: Dict[str, object]) -> "CaseConfig":
-        return cls(
+        """Parse a config, rejecting what no run could execute.
+
+        Unknown keys, unregistered backends and unregistered algorithms
+        raise :class:`ParameterError`: a malformed case file is a usage
+        error, never an algorithm failure.
+        """
+        unknown = sorted(set(data) - _CONFIG_KEYS)
+        if unknown:
+            raise ParameterError(
+                f"unknown case config key(s) {unknown}; "
+                f"expected a subset of {sorted(_CONFIG_KEYS)}"
+            )
+        get_algorithm(str(data["algorithm"]))
+        config = cls(
             algorithm=str(data["algorithm"]),
             beta=float(data.get("beta", 0.2)),  # type: ignore[arg-type]
             seed=int(data.get("seed", 1)),  # type: ignore[arg-type]
@@ -246,6 +261,13 @@ class CaseConfig:
             fault_seed=int(data.get("fault_seed", 0)),  # type: ignore[arg-type]
             planted=data.get("planted"),  # type: ignore[arg-type]
         )
+        for backend in config.backends:
+            resolve_backend(backend)
+        return config
+
+
+#: The keys a serialized :class:`CaseConfig` may carry.
+_CONFIG_KEYS = frozenset(f.name for f in fields(CaseConfig))
 
 
 @dataclass(frozen=True)

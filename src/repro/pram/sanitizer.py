@@ -38,7 +38,6 @@ sanitizer rides in the :class:`~repro.runtime.context.ExecutionContext`
 :func:`sanitizing` context manager activates a derived context (the
 CLI's global ``--sanitize`` flag wraps every command in one).  When no
 sanitizer is active every seam is a cheap ``None`` check.
-:func:`active_sanitizer` survives as a deprecated shim.
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ from repro.errors import SanitizerError
 __all__ = [
     "RaceReport",
     "PramSanitizer",
-    "active_sanitizer",
-    "current_sanitizer",
     "sanitizing",
 ]
 
@@ -392,31 +389,6 @@ class PramSanitizer:
         self.races.append(report)
         if self.halt_on_race:
             raise SanitizerError(str(report), report=report)
-
-
-def active_sanitizer() -> Optional[PramSanitizer]:
-    """Deprecated: the execution context's sanitizer (or ``None``).
-
-    Shim kept for downstream compatibility; new code reads
-    ``repro.runtime.current_context().sanitizer``.  Warns once per
-    process.
-    """
-    from repro.runtime.context import current_context, warn_deprecated_accessor
-
-    warn_deprecated_accessor(
-        "repro.pram.sanitizer.active_sanitizer", "current_context().sanitizer"
-    )
-    return current_context().sanitizer
-
-
-def current_sanitizer() -> Optional[PramSanitizer]:
-    """Deprecated alias of :func:`active_sanitizer` (same shim)."""
-    from repro.runtime.context import current_context, warn_deprecated_accessor
-
-    warn_deprecated_accessor(
-        "repro.pram.sanitizer.current_sanitizer", "current_context().sanitizer"
-    )
-    return current_context().sanitizer
 
 
 @contextmanager

@@ -43,7 +43,6 @@ Hooks cost nothing when no plan is active (a single ``None`` check):
 the armed plan rides in the
 :class:`~repro.runtime.context.ExecutionContext` and production code
 reads ``current_context().fault_plan`` once per round.
-:func:`active_fault_plan` survives as a deprecated shim.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ __all__ = [
     "FAULT_KINDS",
     "FaultSpec",
     "FaultPlan",
-    "active_fault_plan",
     "parse_fault_plan",
 ]
 
@@ -148,8 +146,8 @@ class FaultPlan:
     """A reproducible schedule of mid-run corruptions.
 
     Activate around one algorithm run with :meth:`activate`; the
-    production hooks (:func:`active_fault_plan` call sites) consult the
-    innermost active plan.  The plan sabotages its first
+    production hooks (``current_context().fault_plan`` reads) consult
+    the innermost active plan.  The plan sabotages its first
     ``sabotage_runs`` activations and is inert afterwards, so a retry
     loop observes fail-then-recover.
     """
@@ -401,22 +399,6 @@ class FaultPlan:
                     old_label=old,
                     new_label=int(C[src]),
                 )
-
-
-def active_fault_plan() -> Optional[FaultPlan]:
-    """Deprecated: the execution context's fault plan (or ``None``).
-
-    Shim kept for downstream compatibility; new code reads
-    ``repro.runtime.current_context().fault_plan``.  Warns once per
-    process.
-    """
-    from repro.runtime.context import current_context, warn_deprecated_accessor
-
-    warn_deprecated_accessor(
-        "repro.resilience.faults.active_fault_plan",
-        "current_context().fault_plan",
-    )
-    return current_context().fault_plan
 
 
 def parse_fault_plan(

@@ -24,21 +24,18 @@ The reading side is :func:`current_context`; kernels use it as::
 
 The writing side is :meth:`ExecutionContext.activate` — the single
 exception-safe push/pop in the whole package (a ``ContextVar`` token
-reset in ``finally``).  The legacy context managers (``tracking``,
-``sanitizing``, ``use_backend``, ``FaultPlan.activate``) are now thin
-wrappers that derive a :meth:`child` context and activate it; the
-legacy *accessors* (``current_tracker`` & co.) are deprecated shims
-that read this contextvar and warn once per process.
+reset in ``finally``).  The scoped context managers (``tracking``,
+``sanitizing``, ``use_backend``, ``FaultPlan.activate``) are thin
+wrappers that derive a :meth:`child` context and activate it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
-import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterator, Optional, Set
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
@@ -52,18 +49,13 @@ if TYPE_CHECKING:
     from repro.pram.sanitizer import PramSanitizer
     from repro.resilience.faults import FaultPlan
 
-__all__ = [
-    "ExecutionContext",
-    "current_context",
-    "root_context",
-    "warn_deprecated_accessor",
-]
+__all__ = ["ExecutionContext", "current_context", "root_context"]
 
 
 def _default_backend() -> "ExecutionBackend":
-    # Imported lazily so this module (the target of every accessor
-    # shim) stays below the engine in the layering — the primitives
-    # and graphs layers import it at module level.
+    # Imported lazily so this module stays below the engine in the
+    # layering — the primitives and graphs layers import it at module
+    # level.
     from repro.engine.backend import BACKENDS, DEFAULT_BACKEND_NAME
 
     return BACKENDS[DEFAULT_BACKEND_NAME]
@@ -186,7 +178,7 @@ class ExecutionContext:
 
 #: The ambient default: null tracker, process-default backend, nothing
 #: armed.  Created lazily (its backend field resolves through the
-#: engine layer); ``set_default_backend`` (deprecated) mutates it.
+#: engine layer).
 _ROOT: Optional[ExecutionContext] = None
 _ROOT_LOCK = threading.Lock()
 
@@ -202,32 +194,10 @@ def current_context() -> ExecutionContext:
 
 
 def root_context() -> ExecutionContext:
-    """The process-root context (the ``set_default_backend`` target)."""
+    """The process-root context (what runs see outside any activation)."""
     global _ROOT
     if _ROOT is None:
         with _ROOT_LOCK:
             if _ROOT is None:
                 _ROOT = ExecutionContext()
     return _ROOT
-
-
-# -- deprecation plumbing for the four legacy accessors -------------------
-
-_WARNED: Set[str] = set()
-
-
-def warn_deprecated_accessor(name: str, replacement: str) -> None:
-    """Emit the accessor's :class:`DeprecationWarning` once per process."""
-    if name in _WARNED:
-        return
-    _WARNED.add(name)
-    warnings.warn(
-        f"{name}() is deprecated; read repro.runtime.{replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_deprecation_warnings() -> None:
-    """Re-arm the once-per-process warnings (test hook only)."""
-    _WARNED.clear()

@@ -29,7 +29,6 @@ from repro.engine.backend import (
     REFERENCE,
     current_backend,
     resolve_backend,
-    set_default_backend,
     use_backend,
 )
 from repro.engine.workspace import NULL_WORKSPACE, Workspace, make_workspace
@@ -38,6 +37,7 @@ from repro.graphs import random_gnm, random_kregular, rmat
 from repro.primitives.atomics import first_winner
 from repro.primitives.hashing import _table_size
 from repro.primitives.sort import radix_argsort
+from repro.runtime.context import ExecutionContext
 
 dest_streams = st.lists(
     st.integers(min_value=0, max_value=60), min_size=0, max_size=300
@@ -211,14 +211,13 @@ def test_use_backend_scopes_and_nests():
     assert current_backend() is outer
 
 
-def test_set_default_backend_returns_previous():
-    previous = set_default_backend("reference")
-    try:
+def test_context_backend_binding_and_scoped_override():
+    previous = current_backend()
+    with ExecutionContext(backend=REFERENCE).activate():
         assert current_backend() is REFERENCE
         with use_backend("fast"):  # scoped override still wins
             assert current_backend() is FAST
-    finally:
-        set_default_backend(previous)
+        assert current_backend() is REFERENCE
     assert current_backend() is previous
 
 

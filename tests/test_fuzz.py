@@ -318,3 +318,27 @@ class TestCli:
         code = main(["replay", "does-not-exist.json"])
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, needle",
+        [
+            ({"backends": ["reference", "bogus"]}, "'bogus'"),
+            ({"algorithm": "no-such-CC"}, "'no-such-CC'"),
+            ({"threads": 2}, "'threads'"),
+        ],
+        ids=["unknown-backend", "unknown-algorithm", "unknown-key"],
+    )
+    def test_replay_malformed_case_is_usage_error(
+        self, capsys, tmp_path, edit, needle
+    ):
+        data = json.loads(corpus_paths()[0].read_text())
+        data["config"].update(edit)
+        with pytest.raises(ParameterError):
+            FuzzCase.from_json(data)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        code = main(["replay", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and needle in captured.err
+        assert "verdict" not in captured.out

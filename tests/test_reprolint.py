@@ -202,6 +202,43 @@ class TestRL004GlobalState:
         assert "RL010" not in rules_for_path("src/repro/engine/core.py")
 
 
+class TestRL005RetiredAccessors:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "current_tracker",
+            "active_sanitizer",
+            "current_sanitizer",
+            "active_fault_plan",
+            "set_default_backend",
+        ],
+    )
+    def test_call_and_definition_flagged(self, name):
+        violations = check(
+            "RL005",
+            f"def {name}():\n"
+            "    return None\n"
+            "def run(cost):\n"
+            f"    return cost.{name}()\n",
+            "src/repro/pram/x.py",
+        )
+        assert sorted(v.line for v in violations) == [1, 4]
+        assert all(v.rule == "RL005" for v in violations)
+
+    def test_context_read_is_clean(self):
+        assert not check(
+            "RL005",
+            "from repro.runtime.context import current_context\n"
+            "def run():\n"
+            "    return current_context().tracker\n",
+            "src/repro/pram/x.py",
+        )
+
+    def test_runtime_layer_out_of_scope(self):
+        assert "RL005" in rules_for_path("src/repro/engine/core.py")
+        assert "RL005" not in rules_for_path("src/repro/runtime/context.py")
+
+
 class TestRL010ObservationalPurity:
     OBS = "src/repro/obs/tracer.py"
 

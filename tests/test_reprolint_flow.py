@@ -26,6 +26,7 @@ from repro.errors import LintConfigError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PARALLEL = REPO_ROOT / "src" / "repro" / "engine" / "parallel.py"
+SESSION = REPO_ROOT / "src" / "repro" / "runtime" / "session.py"
 CONFIG = REPO_ROOT / "reprolint.toml"
 
 ENGINE = "src/repro/engine/x.py"
@@ -418,6 +419,39 @@ class TestSeededRegressionParallel:
         hits = [v for v in self._lint(staged).violations if v.rule == "RL009"]
         assert len(hits) == 1
         assert hits[0].qualname.endswith("minimum_scatter")
+
+
+class TestSeededRegressionSession:
+    """Doctored copies of the session runtime, which owns the real
+    ``_claim_pool``/``_release_pool``, must be flagged by RL008."""
+
+    def _stage(self, tmp_path: Path, mutate) -> Path:
+        staged = tmp_path / "src" / "repro" / "runtime" / "session.py"
+        staged.parent.mkdir(parents=True)
+        staged.write_text(mutate(SESSION.read_text(encoding="utf-8")))
+        return staged
+
+    def _lint(self, staged: Path):
+        return lint_paths([staged], load_config(CONFIG), enforce_stale=False)
+
+    def test_unmodified_copy_is_clean(self, tmp_path):
+        staged = self._stage(tmp_path, lambda src: src)
+        assert self._lint(staged).violations == []
+
+    def test_seeded_leaky_pool_claim_flagged(self, tmp_path):
+        evil = (
+            "\n\ndef leaky_run(session, graph):\n"
+            "    ws = session._claim_pool()\n"
+            "    if graph is None:\n"
+            "        return None\n"
+            "    out = execute_profiled(\"decomp-arb-CC\", graph, workspace=ws)\n"
+            "    session._release_pool(ws)\n"
+            "    return out\n"
+        )
+        staged = self._stage(tmp_path, lambda src: src + evil)
+        hits = [v for v in self._lint(staged).violations if v.rule == "RL008"]
+        assert hits
+        assert all(v.qualname == "leaky_run" for v in hits)
 
 
 class TestIncrementalCache:

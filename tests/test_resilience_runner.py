@@ -177,14 +177,14 @@ class TestSweepIntegration:
 
 class TestFaultPlanArming:
     def test_plan_is_inert_outside_activation(self, path_graph):
-        from repro.resilience import active_fault_plan
+        from repro.runtime.context import current_context
 
         plan = one_shot_fault()
-        assert active_fault_plan() is None
+        assert current_context().fault_plan is None
         with plan.activate() as active:
-            assert active_fault_plan() is active
+            assert current_context().fault_plan is active
             assert plan.armed
-        assert active_fault_plan() is None
+        assert current_context().fault_plan is None
 
     def test_sabotage_budget_expires(self):
         plan = FaultPlan.parse("cas_flip", sabotage_runs=2)

@@ -11,16 +11,14 @@ The refactor's acceptance bar lives here:
 * **memoization** — a repeated plain run is a dictionary hit returning
   the *same* profile object; replacing the graph changes the CSR
   fingerprint and misses; rebuilding a byte-identical graph hits again.
-* **deprecation shims** — each legacy accessor warns exactly once per
-  process, and :meth:`ExecutionContext.activate` restores the previous
-  context even when the body raises.
+* **context discipline** — :meth:`ExecutionContext.activate` restores
+  the previous context even when the body raises.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,7 +30,6 @@ from repro.experiments.registry import build_graph
 from repro.pram.cost import CostTracker
 from repro.runtime.context import (
     ExecutionContext,
-    _reset_deprecation_warnings,
     current_context,
     root_context,
 )
@@ -326,42 +323,3 @@ class TestContextDiscipline:
         b = a.child(seed=9)
         assert b.seed == 9
         assert a.rng is not b.rng
-
-
-class TestDeprecatedAccessors:
-    def test_each_accessor_warns_exactly_once_per_process(self):
-        from repro.engine.backend import set_default_backend
-        from repro.pram.cost import current_tracker
-        from repro.pram.sanitizer import active_sanitizer
-        from repro.resilience.faults import active_fault_plan
-
-        _reset_deprecation_warnings()
-        shims = [
-            ("current_tracker", current_tracker),
-            ("active_sanitizer", active_sanitizer),
-            ("active_fault_plan", active_fault_plan),
-        ]
-        for name, shim in shims:
-            with warnings.catch_warnings(record=True) as rec:
-                warnings.simplefilter("always")
-                shim()
-                shim()
-            deps = [w for w in rec if issubclass(w.category, DeprecationWarning)]
-            assert len(deps) == 1, name
-            assert name in str(deps[0].message)
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            previous = set_default_backend("reference")
-            set_default_backend(previous)
-        deps = [w for w in rec if issubclass(w.category, DeprecationWarning)]
-        assert len(deps) == 1
-        assert "set_default_backend" in str(deps[0].message)
-
-    def test_shims_still_read_the_context(self):
-        from repro.pram.cost import current_tracker
-
-        mine = CostTracker()
-        with current_context().child(tracker=mine).activate():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                assert current_tracker() is mine
