@@ -8,7 +8,7 @@ The syntactic family (per-function AST patterns):
   ``connectivity/`` route through ``primitives.atomics`` or appear in
   the justified kernel registry (``reprolint.toml``);
 * **RL002** — no allocating NumPy calls in the fast-backend kernels
-  (PR 3's zero-allocation discipline);
+  (round temporaries go through the ``Workspace`` seam);
 * **RL003** — edge-expanding kernels charge the cost tracker on every
   post-expand return path;
 * **RL004** — no ``np.random`` global state or wall-clock reads in

@@ -12,12 +12,12 @@ RL001  Shared-array writes must route through ``primitives.atomics``.
        either — is the exact bug class the simulated CRCW machine
        exists to prevent.  Legal claim scatters live in the kernel
        registry (the ``reprolint.toml`` allowlist).
-RL002  No allocating NumPy calls in the fast-backend kernels.  PR 3's
-       zero-allocation discipline: steady-state rounds draw from the
-       Workspace arena; a fresh ``np.zeros``/``np.concatenate``/...
-       (without ``out=``) re-introduces the per-round allocation the
-       backend seam removed.  Zero-length literals (``np.zeros(0)``
-       empty-return sentinels) are exempt.
+RL002  No allocating NumPy calls in the fast-backend kernels: round
+       temporaries go through the Workspace vocabulary, whose arena
+       gathers hold per-labeling peak memory down; a fresh
+       ``np.zeros``/``np.concatenate``/... (without ``out=``) bypasses
+       that seam.  Zero-length literals (``np.zeros(0)`` empty-return
+       sentinels) are exempt.
 RL003  A kernel that expands edges must charge the cost tracker on
        every return path *after* the expansion — otherwise the (work,
        depth) profiles undercount exactly when a kernel exits early

@@ -1072,12 +1072,12 @@ RULE_DOCS: Dict[str, str] = {
     ),
     "RL002": (
         "No allocating NumPy calls in the fast-backend kernels.\n\n"
-        "Steady-state rounds draw buffers from the Workspace arena; a\n"
-        "fresh np.zeros/np.concatenate (without out=) re-introduces the\n"
-        "per-round allocation the backend seam removed. Zero-length\n"
-        "sentinels (np.zeros(0)) are exempt.\n\n"
-        "Runtime counterpart: Workspace.bytes_held plateaus asserted by\n"
-        "the arena tests."
+        "Round temporaries go through the Workspace vocabulary, whose\n"
+        "arena gathers hold per-labeling peak memory down; a fresh\n"
+        "np.zeros/np.concatenate (without out=) bypasses that seam.\n"
+        "Zero-length sentinels (np.zeros(0)) are exempt.\n\n"
+        "Runtime counterpart: the arena-reuse property tests and the\n"
+        "benchmark's peak_mem_ratio bound."
     ),
     "RL003": (
         "Edge-expanding kernels must charge the cost tracker on every\n"

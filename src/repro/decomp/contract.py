@@ -191,16 +191,11 @@ def contract(
     sub_to_component = np.flatnonzero(touched).astype(np.int64)
 
     # --- 4. build the contracted CSR graph. --------------------------
-    # The renamed endpoints are in [0, k') by construction, so the fast
-    # backend skips re-validating them (and the CSR invariants) at
-    # every recursion level; the reference backend re-validates as the
-    # historical code did.
     sub_graph = from_directed_edges(
         component_to_sub[src],
         component_to_sub[dst],
         k_prime,
         symmetric=True,
-        validate=not current_context().backend.trusted_contraction,
     )
     return Contraction(
         graph=sub_graph,

@@ -5,18 +5,14 @@ step batch:
 
 * ``reference`` — the historical kernels: every temporary is a fresh
   NumPy allocation, the CAS race resolves through a sort
-  (``np.unique``), the radix sort runs its per-digit passes, and every
-  contraction level re-validates the CSR invariants it just
-  established.  Slow, but each round is exactly the code the golden
-  parity fixture was captured against.
+  (``np.unique``) and the radix sort runs its per-digit passes.  Slow,
+  but each round is exactly the code the golden parity fixture was
+  captured against.
 * ``fast`` — the same winner schedules, labelings and (work, depth)
-  charges, computed without the wall-clock waste: per-run
-  :class:`~repro.engine.workspace.Workspace` arenas replace the
-  steady-state allocations, the CAS race resolves with an O(n)
-  reverse-order scatter, the stable radix permutation is produced in
-  one fused pass, dense rounds reuse arena bitmaps, and contraction
-  builds its sub-graphs through the trusted (validation-free)
-  constructor path.
+  charges, with only the changes that measure a win: the CAS race
+  resolves with an O(n) reverse-order scatter, the stable radix
+  permutation is produced in one fused pass, and a per-run :class:`~repro.engine.workspace.Workspace` arena holds
+  the round gathers, which lowers peak memory per labeling.
 * ``parallel`` — the fast kernels executed across a persistent thread
   pool (:mod:`repro.engine.parallel`): fixed-size chunks over
   vertex/edge ranges, per-worker workspace shards for the CRCW
@@ -64,25 +60,13 @@ class ExecutionBackend:
     ----------
     use_workspace:
         Thread a per-run :class:`~repro.engine.workspace.Workspace`
-        arena through the kernels so steady-state rounds perform zero
-        large allocations (``out=`` writes into reused arena slices).
-    scatter_first_winner:
-        Resolve the arbitrary-CRCW race with the O(n) reverse-order
-        scatter instead of the sort-based ``np.unique`` pass.  Both
-        pick the first occurrence per destination, so the winner
-        schedule is identical.
+        through the kernels: arena gathers and scans, and the
+        sort-free CAS-race resolution.
     fused_sort:
         Produce the stable radix permutation with one fused stable
         argsort instead of per-16-bit-digit passes.  Stable sorting
         permutations are unique, so the output is identical; the
         charged pass structure is unchanged.
-    bitmap_dense:
-        Reuse arena bitmaps on the dense (pull) rounds instead of
-        materializing fresh boolean arrays per round.
-    trusted_contraction:
-        Build contraction sub-graphs via the trusted constructor path
-        (skip re-validating invariants the contraction itself just
-        established); public builders still validate.
     chunked:
         Execute the hot kernels in fixed-size chunks across the
         execution context's worker pool
@@ -93,34 +77,26 @@ class ExecutionBackend:
     name: str
     description: str
     use_workspace: bool
-    scatter_first_winner: bool
     fused_sort: bool
-    bitmap_dense: bool
-    trusted_contraction: bool
     chunked: bool = False
 
 
 REFERENCE = ExecutionBackend(
     name="reference",
     description="byte-for-byte the historical kernels (fresh allocations, "
-    "sort-based CAS resolution, per-digit radix passes, validating builders)",
+    "sort-based CAS resolution, per-digit radix passes)",
     use_workspace=False,
-    scatter_first_winner=False,
     fused_sort=False,
-    bitmap_dense=False,
-    trusted_contraction=False,
 )
 
 FAST = ExecutionBackend(
     name="fast",
-    description="zero-allocation round kernels: workspace arenas, scatter "
-    "CAS resolution, fused stable sort, bitmap dense rounds, trusted "
-    "contraction constructors — identical outputs and charges",
+    description="scatter CAS resolution, fused stable sort, arena gathers "
+    "— identical outputs and charges",
     use_workspace=True,
-    scatter_first_winner=True,
+    # Measured: per-digit passes instead make labelings 1.6-1.7x slower
+    # on rMat-small, line 200k and random 400k.
     fused_sort=True,
-    bitmap_dense=True,
-    trusted_contraction=True,
 )
 
 #: Name -> backend; the CLI's ``--backend`` choices and the wall-clock

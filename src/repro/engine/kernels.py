@@ -119,17 +119,13 @@ def arb_round(state: "DecompState") -> np.ndarray:
     return winners
 
 
-def min_round(
-    state: "DecompState", pair: np.ndarray, trusted_keys: bool = False
-) -> np.ndarray:
+def min_round(state: "DecompState", pair: np.ndarray) -> np.ndarray:
     """One Decomp-Min round: writeMin phase, barrier, claim phase.
 
     *pair* is the per-vertex merged (delta', center) writeMin cell
     (the first element of the paper's C pairs); ``state.C`` plays the
     role of the second element (the component id).  Returns the next
-    frontier.  ``trusted_keys`` skips the per-round pair-encoding range
-    scans (the fast backend's tie-break policy proves the whole domain
-    once at setup).
+    frontier.
     """
     tracker = current_context().tracker
     plan = current_context().fault_plan
@@ -157,7 +153,7 @@ def min_round(
         # writeMin((delta'_{C[u]}, C[u])) onto every unvisited target.
         cu_unvis = ws.take(cu, unvis_pos, "min.cuunvis")
         keys = ws.take(frac, cu_unvis, "min.keys")
-        keys = encode_pair(keys, cu_unvis, check=not trusted_keys, out=keys)
+        keys = encode_pair(keys, cu_unvis, out=keys)
         write_min(
             pair,
             ws.take(dst, unvis_pos, "min.dstunvis"),

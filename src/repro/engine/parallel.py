@@ -234,11 +234,6 @@ class ParallelWorkspace(Workspace):
             self._shard_buffers[(worker, key)] = buf
         return buf[:size]
 
-    @property
-    def bytes_held(self) -> int:
-        base: int = super().bytes_held
-        return base + sum(int(b.nbytes) for b in self._shard_buffers.values())
-
     def _note_combine(self, kind: str, shards: int) -> None:
         """Report one sequential shard merge to sanitizer and metrics."""
         from repro.runtime.context import current_context
@@ -522,10 +517,7 @@ PARALLEL = ExecutionBackend(
     "combines — identical outputs and charges at any worker count "
     "(--workers N)",
     use_workspace=True,
-    scatter_first_winner=True,
     fused_sort=True,
-    bitmap_dense=True,
-    trusted_contraction=True,
     chunked=True,
 )
 

@@ -95,9 +95,7 @@ class BFSTreeState(TraversalState):
         self.num_visited = 1
         self.directions: List[str] = []
         self.workspace = current_context().acquire_workspace(n)
-        self._frontier = Frontier.from_vertices(
-            n, np.zeros(0, dtype=np.int64), workspace=self.workspace
-        )
+        self._frontier = Frontier.from_vertices(n, np.zeros(0, dtype=np.int64))
 
     @property
     def n(self) -> int:
@@ -127,9 +125,7 @@ class BFSTreeState(TraversalState):
     def begin_round(self, engine: TraversalEngine, next_frontier: np.ndarray) -> None:
         if self.budget is not None:
             self.budget.check(self.round)
-        self._frontier = Frontier.from_vertices(
-            self.n, next_frontier, workspace=self.workspace
-        )
+        self._frontier = Frontier.from_vertices(self.n, next_frontier)
 
     def _absorb(self, winners: np.ndarray) -> None:
         # The claim's bookkeeping writes ride along with the parent

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.engine.kernels import _PAIR_INF, arb_round, min_round
 from repro.errors import ParameterError
-from repro.primitives.atomics import encode_pair
 from repro.runtime.context import current_context
 
 if TYPE_CHECKING:
@@ -98,30 +97,19 @@ class MinTiebreak(TiebreakPolicy):
 
     def __init__(self) -> None:
         self.pair: np.ndarray = np.zeros(0, dtype=np.int64)
-        self._checked = False
 
     def setup(self, state: "DecompState") -> None:
         tracker = current_context().tracker
         with tracker.phase("init"):
             self.pair = np.full(state.n, _PAIR_INF, dtype=np.int64)
             tracker.add("alloc", work=float(state.n), depth=1.0)
-        if getattr(state.workspace, "trusted", False):
-            # Prove the whole (delta', center) domain encodable once, so
-            # the per-round encode_pair range scans can be skipped (the
-            # per-round keys are gathers out of exactly this domain).
-            encode_pair(
-                state.schedule.frac,
-                np.arange(state.n, dtype=np.int64),
-                check=True,
-            )
-            self._checked = True
 
     def push_round(
         self, state: "DecompState", engine: "TraversalEngine"
     ) -> np.ndarray:
         # Phase labels are the rule's own (bfsPhase1/bfsPhase2, inside
         # the kernel); the direction policy's sparse label is unused.
-        return min_round(state, self.pair, trusted_keys=self._checked)
+        return min_round(state, self.pair)
 
 
 #: Name -> policy class; the decomposition facade and the property

@@ -70,24 +70,16 @@ def from_directed_edges(
     dst: np.ndarray,
     num_vertices: int,
     symmetric: bool = False,
-    validate: bool = True,
 ) -> CSRGraph:
     """Build a CSR graph from directed edges, exactly as given.
 
     No symmetrization, dedup or loop removal — callers wanting the
     undirected input format should use :func:`from_edges`.  The edges
     are grouped by source with a counting pass + scan + scatter.
-
-    ``validate=False`` skips both the edge-range scan and the CSR
-    invariant checks (:meth:`CSRGraph.trusted`) — only for callers
-    whose arrays are internally generated with the invariants already
-    established, like the contraction recursion under the fast
-    execution backend.  External data must validate.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    if validate:
-        _validate(src, dst, num_vertices)
+    _validate(src, dst, num_vertices)
     counts = np.bincount(src, minlength=num_vertices) if src.size else np.zeros(
         num_vertices, dtype=np.int64
     )
@@ -98,10 +90,6 @@ def from_directed_edges(
     # Stable sort by source groups targets into CSR slots.
     order = radix_argsort(src, max_key=max(num_vertices - 1, 0)) if src.size else src
     targets = dst[order] if src.size else dst
-    if not validate:
-        return CSRGraph.trusted(
-            offsets, np.ascontiguousarray(targets), symmetric=symmetric
-        )
     return CSRGraph(offsets=offsets, targets=targets, symmetric=symmetric)
 
 

@@ -71,27 +71,6 @@ class CSRGraph:
         if targets.size and (targets.min() < 0 or targets.max() >= n):
             raise GraphFormatError("edge target out of range [0, n)")
 
-    @classmethod
-    def trusted(
-        cls, offsets: np.ndarray, targets: np.ndarray, symmetric: bool = True
-    ) -> "CSRGraph":
-        """Construct without validation — internally generated CSR only.
-
-        The contraction recursion builds each level's sub-graph from
-        arrays whose invariants it just established (contiguous int64,
-        offsets from a prefix sum, targets from a renaming into
-        ``[0, k')``); re-running the O(m) scans of ``__post_init__``
-        per level is pure wall-clock waste, which the fast execution
-        backend skips through this path.  Public builders and anything
-        consuming external data must go through the validating
-        constructor.
-        """
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "offsets", offsets)
-        object.__setattr__(graph, "targets", targets)
-        object.__setattr__(graph, "symmetric", symmetric)
-        return graph
-
     # -- sizes -------------------------------------------------------------
 
     @property

@@ -194,13 +194,13 @@ def read_adjacency_graph(path: PathLike, symmetric: bool = True) -> CSRGraph:
 
 
 def write_adjacency_graph(graph: CSRGraph, path: PathLike) -> None:
-    """Write PBBS's ``AdjacencyGraph`` text format (see the reader)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("AdjacencyGraph\n")
-        fh.write(f"{graph.num_vertices}\n{graph.num_directed}\n")
-        np.savetxt(fh, graph.offsets[:-1], fmt="%d")
-        np.savetxt(fh, graph.targets, fmt="%d")
+    """Atomically write PBBS's ``AdjacencyGraph`` text format (see the reader)."""
+    with atomic_write_path(Path(path)) as tmp:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write("AdjacencyGraph\n")
+            fh.write(f"{graph.num_vertices}\n{graph.num_directed}\n")
+            np.savetxt(fh, graph.offsets[:-1], fmt="%d")
+            np.savetxt(fh, graph.targets, fmt="%d")
 
 
 def save_npz(graph: CSRGraph, path: PathLike) -> None:

@@ -54,7 +54,6 @@ def encode_pair(
     priority: np.ndarray,
     payload: np.ndarray,
     *,
-    check: bool = True,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Pack (priority, payload) into one int64 ordered lexicographically.
@@ -64,19 +63,15 @@ def encode_pair(
     writeMin on pairs with ties broken by smaller payload — exactly the
     comparison Decomp-Min's pseudo-code performs on its (delta', C) pairs.
 
-    ``check=False`` skips the range scans — only for callers that
-    validated their whole value domain up front (the fast backend's
-    Decomp-Min setup proves the schedule's delta' range and the vertex
-    count once, instead of rescanning every round).  ``out`` receives
-    the encoding in place (it may alias *priority*).
+    Both halves are range-checked on every call.  ``out`` receives the
+    encoding in place (it may alias *priority*).
     """
     priority = np.asarray(priority, dtype=np.int64)
     payload = np.asarray(payload, dtype=np.int64)
-    if check:
-        if priority.size and (priority.min() < 0 or priority.max() > _PAIR_MASK):
-            raise ValueError(f"priority out of range [0, 2^{PAIR_SHIFT})")
-        if payload.size and (payload.min() < 0 or payload.max() > _PAIR_MASK):
-            raise ValueError(f"payload out of range [0, 2^{PAIR_SHIFT})")
+    if priority.size and (priority.min() < 0 or priority.max() > _PAIR_MASK):
+        raise ValueError(f"priority out of range [0, 2^{PAIR_SHIFT})")
+    if payload.size and (payload.min() < 0 or payload.max() > _PAIR_MASK):
+        raise ValueError(f"payload out of range [0, 2^{PAIR_SHIFT})")
     if out is None:
         return (priority << PAIR_SHIFT) | payload
     np.left_shift(priority, PAIR_SHIFT, out=out)

@@ -10,9 +10,8 @@ exactly one algorithm execution.
 
 :class:`Session` is the service-style facade on top (the ROADMAP
 north star): it owns one graph, pools a
-:class:`~repro.engine.workspace.Workspace` arena across runs (the fast
-backend's steady-state zero-allocation property then holds across a
-whole query *sequence*, not just within one run), and memoizes
+:class:`~repro.engine.workspace.Workspace` arena across runs (so its
+gather buffers grow once per session, not once per run), and memoizes
 labelings by ``(graph fingerprint, algorithm, seed, beta)`` so repeated
 connectivity queries cost one dictionary lookup.  Sessions are
 internally locked; *different* Session objects in different threads are
@@ -34,6 +33,7 @@ import numpy as np
 from repro.analysis.verify import verify_labeling
 from repro.engine.backend import ExecutionBackend, resolve_backend
 from repro.engine.workspace import make_workspace
+from repro.errors import ParameterError
 from repro.experiments.harness import RunProfile
 from repro.experiments.registry import build_graph, get_algorithm
 from repro.graphs.csr import CSRGraph
@@ -47,6 +47,19 @@ __all__ = ["execute_profiled", "Session", "ConnectivityService"]
 #: The session default: the paper's headline algorithm.
 DEFAULT_ALGORITHM = "decomp-arb-CC"
 DEFAULT_BETA = 0.2
+
+
+def _vertex_ids(ids: Union[int, np.ndarray], n: int) -> Union[int, np.ndarray]:
+    """*ids* checked to lie in ``[0, n)`` (plain indexing wraps negatives)."""
+    if type(ids) is int or isinstance(ids, np.integer):
+        if not 0 <= ids < n:
+            raise ParameterError(f"vertex id {ids} out of range [0, {n})")
+        return int(ids)
+    arr = np.asarray(ids)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        bad = arr[(arr < 0) | (arr >= n)]
+        raise ParameterError(f"vertex id {bad.flat[0]} out of range [0, {n})")
+    return arr
 
 
 def execute_profiled(
@@ -381,9 +394,13 @@ class Session:
         v: Union[int, np.ndarray],
         algorithm: Optional[str] = None,
     ) -> Union[bool, np.ndarray]:
-        """Whether *u* and *v* share a component (vectorizes over arrays)."""
+        """Whether *u* and *v* share a component (vectorizes over arrays).
+
+        Raises :class:`ParameterError` naming the first id outside ``[0, n)``.
+        """
         labels = self.components(algorithm)
-        same = labels[np.asarray(u)] == labels[np.asarray(v)]
+        n = labels.shape[0]
+        same = labels[_vertex_ids(u, n)] == labels[_vertex_ids(v, n)]
         return bool(same) if np.ndim(same) == 0 else same
 
     def component_sizes(self, algorithm: Optional[str] = None) -> Dict[int, int]:

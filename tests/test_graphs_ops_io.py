@@ -11,7 +11,13 @@ from repro.graphs.generators import (
     random_kregular,
     star_graph,
 )
-from repro.graphs.io import load_npz, read_edge_list, save_npz, write_edge_list
+from repro.graphs.io import (
+    load_npz,
+    read_edge_list,
+    save_npz,
+    write_adjacency_graph,
+    write_edge_list,
+)
 from repro.graphs.ops import (
     degree_statistics,
     edges_as_undirected_pairs,
@@ -185,6 +191,31 @@ class TestIO:
         assert (tmp_path / "noext.npz").exists()
         h = load_npz(tmp_path / "noext.npz")
         assert np.array_equal(g.targets, h.targets)
+
+
+@pytest.mark.parametrize(
+    "write, inner, name",
+    [
+        (write_edge_list, "savetxt", "g.txt"),
+        (write_adjacency_graph, "savetxt", "g.adj"),
+        (save_npz, "savez_compressed", "g.npz"),
+    ],
+    ids=["edge-list", "adjacency", "npz"],
+)
+def test_failed_write_leaves_destination_intact(
+    tmp_path, monkeypatch, write, inner, name
+):
+    path = tmp_path / name
+    path.write_bytes(b"previous contents\n")
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, inner, fail)
+    with pytest.raises(OSError, match="disk full"):
+        write(random_kregular(20, 3, seed=1), path)
+    assert path.read_bytes() == b"previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]  # no .tmp-* sibling
 
 
 class TestDegenerateInputs:

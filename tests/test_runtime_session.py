@@ -27,6 +27,7 @@ import pytest
 from repro.analysis.verify import verify_labeling
 from repro.errors import ParameterError
 from repro.experiments.registry import build_graph
+from repro.graphs.builder import from_edges
 from repro.pram.cost import CostTracker
 from repro.runtime.context import (
     ExecutionContext,
@@ -218,6 +219,38 @@ class TestConnectivityService:
         sess = svc.open("mine", graph)
         assert svc.session("mine") is sess
         assert svc.components("mine").size == graph.num_vertices
+
+
+def _two_component_graph():
+    """5 vertices, components {0, 1, 2} and {3, 4}."""
+    return from_edges(np.array([0, 1, 3]), np.array([1, 2, 4]), num_vertices=5)
+
+
+def _session_connected(u, v):
+    return Session(_two_component_graph(), graph_name="g").connected(u, v)
+
+
+def _service_connected(u, v):
+    svc = ConnectivityService()
+    svc.open("g", _two_component_graph())
+    return svc.connected("g", u, v)
+
+
+@pytest.mark.parametrize(
+    "ask", [_session_connected, _service_connected], ids=["session", "service"]
+)
+@pytest.mark.parametrize(
+    "u, v, bad",
+    [
+        (3, -1, -1),  # would wrap to vertex 4 and answer True
+        (5, 0, 5),
+        (np.array([0, 4]), np.array([1, 5]), 5),
+    ],
+    ids=["negative-scalar", "scalar-n", "array-with-n"],
+)
+def test_connected_rejects_out_of_range_vertex_ids(ask, u, v, bad):
+    with pytest.raises(ParameterError, match=rf"vertex id {bad} out of range"):
+        ask(u, v)
 
 
 class TestInflightCoalescing:
