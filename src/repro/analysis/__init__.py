@@ -8,6 +8,7 @@ from repro.analysis.stats import (
     partition_radii,
 )
 from repro.analysis.verify import (
+    certificate_holds,
     ground_truth_labels,
     labelings_equivalent,
     verify_decomposition,
@@ -16,6 +17,7 @@ from repro.analysis.verify import (
 
 __all__ = [
     "DecompositionStats",
+    "certificate_holds",
     "component_histogram",
     "decomposition_stats",
     "edge_decay_ratios",

@@ -15,18 +15,23 @@ w.h.p.; total expected work O(m), depth O(log^3 n) w.h.p. (Theorem 1).
 We run the recursion as an explicit loop with an unwind stack — the
 iterations are a straight chain, and the loop gives the harness natural
 access to the per-iteration edge counts (Figure 4 series).
+
+When the execution context collects certificates (``forest_sink``),
+the upward pass also lifts each level's BFS trees into one spanning
+forest of the input (see :func:`_lift_forest`), which lets the
+verifier accept the labeling without recomputing the components.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.connectivity.base import ConnectivityResult
 from repro.decomp import DECOMP_VARIANTS
 from repro.decomp.contract import Contraction, contract
-from repro.errors import ConvergenceError, ParameterError
+from repro.errors import ConvergenceError, GraphFormatError, ParameterError
 from repro.graphs.csr import CSRGraph
 from repro.runtime.context import current_context
 
@@ -88,10 +93,13 @@ def decomp_cc(
         )
     decomp_fn = DECOMP_VARIANTS[variant]
     tracker = current_context().tracker
+    sink = current_context().forest_sink
 
     # ---- downward pass: decompose + contract until |E'| = 0. --------
     current = graph
     unwind: List[Contraction] = []
+    #: Per level, the BFS-tree parents and the round count (certified runs).
+    trees: List[Tuple[np.ndarray, int]] = []
     edges_per_iteration: List[int] = [graph.num_edges]
     rounds_per_iteration: List[int] = []
     for iteration in range(_MAX_ITERATIONS):
@@ -103,6 +111,8 @@ def decomp_cc(
             **variant_kwargs,
         )
         rounds_per_iteration.append(decomposition.num_rounds)
+        if sink is not None:
+            trees.append((decomposition.parents, decomposition.num_rounds))
         with tracker.phase("contractGraph"):
             contraction = contract(
                 decomposition,
@@ -150,6 +160,10 @@ def decomp_cc(
                 )
             labels = component_labels[contraction.vertex_to_component]
             tracker.add("gather", work=float(labels.size), depth=1.0)
+        if sink is not None:
+            forest = _lift_forest(trees, unwind)
+            if forest is not None:
+                sink.append(forest)
 
     return ConnectivityResult(
         labels=labels,
@@ -162,3 +176,43 @@ def decomp_cc(
             "schedule_mode": schedule_mode,
         },
     )
+
+
+def _lift_forest(
+    trees: List[Tuple[np.ndarray, int]], unwind: List[Contraction]
+) -> Optional[np.ndarray]:
+    """One spanning forest of the input from every level's BFS trees.
+
+    Deepest level first: a level's parents are its partitions' BFS
+    trees.  Where the deeper forest gives a partition's contracted
+    vertex a parent, the partition's tree is rerooted at its end ``u``
+    of the representative edge ``(u, w)`` of that contracted edge (the
+    path from ``u`` to the center is reversed, at most the level's
+    round count long, for all such partitions at once), and ``u``
+    points across the edge at ``w``.  Uncharged: the forest certifies
+    the labeling and is not part of the algorithm.  Returns ``None``
+    when the trees are inconsistent (a fault corrupted the run), so the
+    verifier falls back to recomputing the components.
+    """
+    forest = np.zeros(0, dtype=np.int64)
+    for (parent, rounds), contraction in zip(reversed(trees), reversed(unwind)):
+        moving = np.flatnonzero(forest != np.arange(forest.size))
+        if moving.size:
+            try:
+                cur, prev = contraction.representative_edge(
+                    contraction.sub_to_component[moving],
+                    contraction.sub_to_component[forest[moving]],
+                )
+            except GraphFormatError:
+                return None
+            for _ in range(rounds + 2):
+                nxt = parent[cur]
+                parent[cur] = prev
+                up = nxt != cur
+                if not up.any():
+                    break
+                prev, cur = cur[up], nxt[up]
+            else:
+                return None
+        forest = parent
+    return forest

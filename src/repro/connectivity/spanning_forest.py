@@ -7,21 +7,26 @@ converse — the decomposition-based connectivity algorithm naturally
 scope:
 
 * inside each decomposition partition, the BFS that grew it defines a
-  tree rooted at the center (we re-derive the parents with one
-  multi-source BFS over same-label edges — O(n + m));
+  tree rooted at the center (each claimed vertex records the frontier
+  vertex that claimed it);
 * each tree edge of the recursively computed spanning forest of the
   contracted graph maps back to a *representative original edge* of
   the component adjacency it uses (carried by
   :class:`~repro.decomp.contract.Contraction`).
 
-The union over all recursion levels is a spanning forest of the input:
-per level, the intra-partition trees span each partition, and the
-contracted forest connects partitions exactly as the contracted graph's
-forest connects its vertices — acyclicity and edge count
+:func:`~repro.connectivity.decomp_cc.decomp_cc` lifts these into one
+rooted forest of the input whenever the execution context collects
+certificates; :func:`decomp_spanning_forest` returns that forest's
+edges.  Per level, the intra-partition trees span each partition, and
+the contracted forest connects partitions exactly as the contracted
+graph's forest connects its vertices — acyclicity and edge count
 (n − #components) follow inductively.
 
 Same asymptotics as decomp-CC: O(m) expected work, O(log^3 n) depth
 w.h.p.
+
+:func:`partition_parents` rebuilds per-partition BFS trees from a
+labeling alone, for decompositions run without recording them.
 """
 
 from __future__ import annotations
@@ -30,18 +35,16 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.connectivity.decomp_cc import decomp_cc
 from repro.connectivity.union_find import UnionFind
-from repro.decomp import DECOMP_VARIANTS, contract
 from repro.engine.core import TraversalEngine, TraversalState, end_round
 from repro.engine.direction import AlwaysPush
-from repro.errors import ParameterError, VerificationError
+from repro.errors import VerificationError
 from repro.graphs.csr import CSRGraph
 from repro.primitives.atomics import first_winner
 from repro.runtime.context import current_context
 
 __all__ = ["decomp_spanning_forest", "partition_parents", "verify_spanning_forest"]
-
-_MAX_LEVELS = 200
 
 
 class _PartitionParentState(TraversalState):
@@ -130,55 +133,21 @@ def decomp_spanning_forest(
     """A spanning forest of *graph* via recursive decomposition.
 
     Returns ``(src, dst)`` arrays of undirected forest edges (each once,
-    arbitrary orientation); ``len(src) == n - #components``.
+    as ``(v, parent[v])``); ``len(src) == n - #components``.
     """
-    if variant not in DECOMP_VARIANTS:
-        raise ParameterError(
-            f"unknown variant {variant!r}; expected one of {sorted(DECOMP_VARIANTS)}"
+    sink: List[np.ndarray] = []
+    with current_context().child(forest_sink=sink).activate():
+        decomp_cc(
+            graph, beta, variant=variant, seed=seed, schedule_mode=schedule_mode
         )
-    decomp_fn = DECOMP_VARIANTS[variant]
-
-    forest_src: List[np.ndarray] = []
-    forest_dst: List[np.ndarray] = []
-    # Chain of contractions: the level-l forest edges are component
-    # pairs that must be pulled down through levels l-1, ..., 0.
-    chain = []
-    current = graph
-    for level in range(_MAX_LEVELS):
-        dec = decomp_fn(
-            current, beta, seed=seed + 1000003 * level, schedule_mode=schedule_mode
+    if not sink:
+        raise VerificationError(
+            "the decomposition's BFS trees do not form a forest",
+            reason="certificate",
         )
-        # Intra-partition tree edges, in *current-level* vertex ids.
-        parents = partition_parents(current, dec.labels)
-        children = np.flatnonzero(parents >= 0)
-        chain.append((children, parents[children]))
-        con = contract(dec, current.num_vertices)
-        chain[-1] = chain[-1] + (con,)
-        if con.is_base_case:
-            break
-        current = con.graph
-    else:  # pragma: no cover - safety net
-        raise RuntimeError("spanning forest exceeded recursion budget")
-
-    # Unwind: pull each level's forest edges down to original ids.
-    # sub_edges holds the forest of the *contracted* graph at the
-    # current level, as contracted-vertex pairs.
-    sub_src = np.zeros(0, dtype=np.int64)
-    sub_dst = np.zeros(0, dtype=np.int64)
-    for children, parents_of, con in reversed(chain):
-        level_src = [children]
-        level_dst = [parents_of]
-        if sub_src.size:
-            # Contracted forest edges -> component pairs -> one
-            # representative current-level edge each.
-            comp_u = con.sub_to_component[sub_src]
-            comp_v = con.sub_to_component[sub_dst]
-            rep_u, rep_v = con.representative_edge(comp_u, comp_v)
-            level_src.append(rep_u)
-            level_dst.append(rep_v)
-        sub_src = np.concatenate(level_src)
-        sub_dst = np.concatenate(level_dst)
-    return sub_src, sub_dst
+    parent = sink.pop()
+    children = np.flatnonzero(parent != np.arange(parent.size))
+    return children, parent[children]
 
 
 def verify_spanning_forest(

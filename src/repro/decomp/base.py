@@ -75,6 +75,11 @@ class Decomposition:
         the breakdown figures visualise.
     dense_rounds:
         Round indices the hybrid ran read-based (empty for min/arb).
+    parents:
+        The BFS trees that grew the partitions, as parent pointers:
+        each claimed vertex points at the frontier vertex that claimed
+        it, each center at itself.  Recorded only when the execution
+        context collects certificates (``forest_sink``); else ``None``.
     """
 
     labels: np.ndarray
@@ -86,6 +91,7 @@ class Decomposition:
     frontier_sizes: List[int] = field(default_factory=list)
     edges_inspected: int = 0
     dense_rounds: List[int] = field(default_factory=list)
+    parents: Optional[np.ndarray] = None
 
     @property
     def num_inter_directed(self) -> int:
@@ -148,6 +154,14 @@ class DecompState(TraversalState):
         # reference backend).  Never charged — it changes how rounds
         # run, not what they compute or cost.
         self.workspace = current_context().acquire_workspace(n)
+        #: BFS-tree parents for the labeling's certificate; every vertex
+        #: starts as its own parent, so centers need no store.  Never
+        #: charged: the certificate is not part of the algorithm.
+        self.parent: Optional[np.ndarray] = (
+            np.arange(n, dtype=np.int64)
+            if current_context().forest_sink is not None
+            else None
+        )
         self.frontier = np.zeros(0, dtype=np.int64)
         self.consumed = 0
         self.visited = 0
@@ -291,4 +305,5 @@ class DecompState(TraversalState):
             frontier_sizes=self.frontier_sizes,
             edges_inspected=self.edges_inspected,
             dense_rounds=self.dense_rounds,
+            parents=self.parent,
         )

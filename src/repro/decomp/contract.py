@@ -62,9 +62,9 @@ class Contraction:
         representatives.
     rep_src / rep_dst:
         For each entry of *edge_pairs*, the original-graph endpoints of
-        one edge realizing that component adjacency.  Used by the
-        spanning-forest extraction to pull contracted tree edges back
-        down to real edges.
+        one edge realizing that component adjacency.  Used by
+        ``decomp_cc``'s certificate (the spanning forest) to pull
+        contracted tree edges back down to real edges.
     """
 
     graph: CSRGraph

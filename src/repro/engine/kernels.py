@@ -96,6 +96,8 @@ def arb_round(state: "DecompState") -> np.ndarray:
     )
     win_pos = unvis_pos[win_local]
     C[winners] = cu[win_pos]
+    if state.parent is not None:
+        state.parent[winners] = src[win_pos]
     tracker.add("scatter", work=float(winners.size), depth=1.0)
     state.visited += int(winners.size)
 
@@ -199,6 +201,8 @@ def min_round(state: "DecompState", pair: np.ndarray) -> np.ndarray:
         )
         wc_won = ws.compress(won, winner_center, "min.wcwon")
         C[new_vertices] = wc_won[first_pos]
+        if state.parent is not None:
+            state.parent[new_vertices] = src[unvis_pos[won][first_pos]]
         # Mark claimed cells so later writeMins cannot touch them
         # (the paper sets C1[w] = -1; our pair array is per-DECOMP and
         # claimed vertices are excluded by C[w] != UNVISITED instead).
@@ -252,6 +256,8 @@ def dense_round(state: "DecompState") -> np.ndarray:
         )
         adopted_from = dst[hit_positions[first_pos]]
         C[winners] = C[adopted_from]
+        if state.parent is not None:
+            state.parent[winners] = adopted_from
         tracker.add("scatter", work=float(winners.size), depth=1.0)
         state.visited += int(winners.size)
     else:

@@ -42,6 +42,9 @@ class RunProfile:
     wall_seconds:
         Real single-core NumPy execution time (pytest-benchmark also
         measures this independently).
+    verify_seconds:
+        Wall-clock time of the labeling's verification (0.0 when the
+        run was not verified).
     """
 
     algorithm: str
@@ -49,6 +52,7 @@ class RunProfile:
     result: ConnectivityResult
     tracker: CostTracker
     wall_seconds: float
+    verify_seconds: float = 0.0
 
     def seconds_at(
         self, threads: ThreadSpec, base: Optional[MachineModel] = None

@@ -7,6 +7,11 @@ question:
 * **serial reference** — the labeling must induce the same partition as
   :func:`repro.analysis.verify.ground_truth_labels` (checked through
   :func:`verify_labeling`, so a failure carries the structured reason);
+* **certificate** — for the decomp family, the spanning-forest
+  certificate the run recorded must reach the same verdict as the
+  serial reference (a planted bug's corrupted labeling included): it
+  may never accept a wrong labeling, and it must accept every correct
+  one unless a corrupting fault was armed;
 * **backend differential** — every backend the case configures
   (``reference``, ``fast``, and the chunked ``parallel`` at the case's
   worker count) must produce bit-identical labelings *and* identical
@@ -45,6 +50,7 @@ from repro.fuzz.case import FuzzCase, build_case_graph
 from repro.fuzz.planted import PlantedBug, get_planted_bug
 from repro.graphs.csr import CSRGraph
 from repro.resilience.faults import FaultPlan
+from repro.runtime.context import current_context
 from repro.runtime.session import execute_profiled
 
 __all__ = ["Finding", "CaseOutcome", "run_case", "BENIGN_FAULT_KINDS"]
@@ -59,9 +65,10 @@ class Finding:
     """One oracle violation.
 
     ``kind`` is the machine-readable class the shrinker preserves:
-    ``wrong-labeling``, ``backend-divergence``, ``cost-divergence``,
-    ``race``, ``benign-fault-corruption``, ``unexpected-error``,
-    ``crash`` or ``generator-crash``.
+    ``wrong-labeling``, ``certificate-disagrees``,
+    ``backend-divergence``, ``cost-divergence``, ``race``,
+    ``benign-fault-corruption``, ``unexpected-error``, ``crash`` or
+    ``generator-crash``.
     """
 
     kind: str
@@ -107,33 +114,40 @@ def _algorithm_kwargs(case: FuzzCase) -> Dict[str, object]:
     return {}
 
 
+#: One run's (labels, work, depth, certificate or None).
+Run = Tuple[np.ndarray, float, float, Optional[np.ndarray]]
+
+
 def _execute(
     case: FuzzCase,
     graph: CSRGraph,
     backend: str,
     fault_plan: Optional[FaultPlan],
     bug: Optional[PlantedBug],
-) -> Tuple[np.ndarray, float, float]:
-    """Run the case's algorithm once; returns (labels, work, depth).
+) -> Run:
+    """Run the case's algorithm once, collecting any certificate.
 
     Raises whatever the run raises — classification happens in
     :func:`run_case`.
     """
-    prof = execute_profiled(
-        case.config.algorithm,
-        graph,
-        graph_name=case.case_id or "fuzz",
-        verify=False,
-        fault_plan=fault_plan,
-        backend=backend,
-        sanitize=case.config.sanitize,
-        workers=case.config.workers,
-        **_algorithm_kwargs(case),
-    )
+    sink: List[np.ndarray] = []
+    with current_context().child(forest_sink=sink).activate():
+        prof = execute_profiled(
+            case.config.algorithm,
+            graph,
+            graph_name=case.case_id or "fuzz",
+            verify=False,
+            fault_plan=fault_plan,
+            backend=backend,
+            sanitize=case.config.sanitize,
+            workers=case.config.workers,
+            **_algorithm_kwargs(case),
+        )
     labels = np.asarray(prof.result.labels)
     if bug is not None and case.config.algorithm.startswith(bug.applies_to):
         labels = bug.corrupt(graph, labels)
-    return labels, prof.tracker.total_work(), prof.tracker.total_depth()
+    certificate = sink.pop() if sink else None
+    return labels, prof.tracker.total_work(), prof.tracker.total_depth(), certificate
 
 
 def _check_labeling(
@@ -142,7 +156,8 @@ def _check_labeling(
     labels: np.ndarray,
     reference: np.ndarray,
     who: str,
-) -> None:
+) -> bool:
+    """Record a ``wrong-labeling`` finding; True iff *labels* verify."""
     try:
         verify_labeling(graph, labels, reference=reference)
     except VerificationError as exc:
@@ -152,6 +167,48 @@ def _check_labeling(
                 f"{who}: {exc} [reason={exc.reason}]",
             )
         )
+        return False
+    return True
+
+
+def _check_certificate(
+    outcome: CaseOutcome,
+    case: FuzzCase,
+    graph: CSRGraph,
+    labels: np.ndarray,
+    certificate: Optional[np.ndarray],
+    correct: bool,
+    who: str,
+    corrupting_fault: bool = False,
+) -> None:
+    """Compare the certificate's verdict with the reference's (*correct*).
+
+    A decomp run without a certificate counts as a rejecting one.  The
+    certificate may reject a correct labeling only when a corrupting
+    fault was armed (its trees may then not match the labels, which is
+    what the verifier's fallback is for).
+    """
+    if not case.config.algorithm.startswith("decomp-"):
+        return
+    accepted = False
+    if certificate is not None:
+        try:
+            accepted = (
+                verify_labeling(graph, labels, certificate=certificate)
+                == "certificate"
+            )
+        except VerificationError:
+            pass
+    if accepted == correct or (correct and corrupting_fault):
+        return
+    outcome.findings.append(
+        Finding(
+            "certificate-disagrees",
+            f"{who}: the certificate {'accepts' if accepted else 'rejects'} a "
+            f"labeling the serial reference "
+            f"{'rejects' if accepted else 'accepts'}",
+        )
+    )
 
 
 def run_case(case: FuzzCase, planted: Optional[str] = None) -> CaseOutcome:
@@ -161,8 +218,6 @@ def run_case(case: FuzzCase, planted: Optional[str] = None) -> CaseOutcome:
     from :mod:`repro.fuzz.planted` applied to matching algorithms —
     the self-test hook proving the pipeline detects what it should.
     """
-    from repro.runtime.context import current_context
-
     metrics = current_context().metrics
     metrics.incr("fuzz.cases")
     outcome = CaseOutcome(case=case)
@@ -182,7 +237,7 @@ def run_case(case: FuzzCase, planted: Optional[str] = None) -> CaseOutcome:
         _run_fault_case(outcome, case, graph, reference, bug)
         return outcome
 
-    runs: Dict[str, Tuple[np.ndarray, float, float]] = {}
+    runs: Dict[str, Run] = {}
     for backend in case.config.backends:
         if backend not in BACKENDS:
             outcome.findings.append(
@@ -207,17 +262,20 @@ def run_case(case: FuzzCase, planted: Optional[str] = None) -> CaseOutcome:
                 Finding("crash", f"{backend}: {type(exc).__name__}: {exc!r}")
             )
 
-    for backend, (labels, _, _) in runs.items():
-        _check_labeling(outcome, graph, labels, reference, backend)
+    for backend, (labels, _, _, certificate) in runs.items():
+        correct = _check_labeling(outcome, graph, labels, reference, backend)
+        _check_certificate(
+            outcome, case, graph, labels, certificate, correct, backend
+        )
     if runs:
         first_backend = next(iter(runs))
         outcome.num_components = int(np.unique(runs[first_backend][0]).size)
     if len(runs) >= 2:
         names = list(runs)
-        base_labels, base_work, base_depth = runs[names[0]]
+        base_labels, base_work, base_depth, _ = runs[names[0]]
         for other in names[1:]:
             metrics.incr("fuzz.comparisons")
-            labels, work, depth = runs[other]
+            labels, work, depth, _ = runs[other]
             if not np.array_equal(base_labels, labels):
                 diff = int(np.count_nonzero(base_labels != labels))
                 outcome.findings.append(
@@ -265,7 +323,7 @@ def _run_fault_case(
         )
         return
     try:
-        labels, _, _ = _execute(case, graph, backend, plan, bug)
+        labels, _, _, certificate = _execute(case, graph, backend, plan, bug)
     except SanitizerError:
         outcome.detected = True
         outcome.detected_by = "sanitizer"
@@ -293,9 +351,11 @@ def _run_fault_case(
         )
         return
     outcome.num_components = int(np.unique(labels).size)
+    correct = True
     try:
         verify_labeling(graph, labels, reference=reference)
     except VerificationError as exc:
+        correct = False
         if benign_only:
             outcome.findings.append(
                 Finding(
@@ -307,3 +367,13 @@ def _run_fault_case(
         else:
             outcome.detected = True
             outcome.detected_by = "verifier"
+    _check_certificate(
+        outcome,
+        case,
+        graph,
+        labels,
+        certificate,
+        correct,
+        backend,
+        corrupting_fault=not benign_only,
+    )

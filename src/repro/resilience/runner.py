@@ -11,8 +11,10 @@ loses a sweep:
   ``"resilience"``, kind ``"seq"``), so retried cells are visibly more
   expensive in the reported timings;
 * **post-run verification gating** — every labeling is checked with
-  :func:`~repro.analysis.verify.verify_labeling` *before* a cell is
-  accepted, converting silent corruption into a retryable failure;
+  :func:`~repro.analysis.verify.verify_labeling` (by
+  ``execute_profiled``, so decomp-CC labelings are accepted on their
+  certificate) *before* a cell is accepted, converting silent
+  corruption into a retryable failure;
 * **graceful degradation** — when an algorithm exhausts its attempts,
   the runner walks a configurable fallback chain (default:
   :data:`repro.experiments.registry.FALLBACK_CHAINS`, e.g.
@@ -34,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.verify import verify_labeling
 from repro.errors import ReproError, ResilienceExhaustedError
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.faults import FaultPlan
@@ -180,13 +181,11 @@ class ResilientRunner:
                         algo,
                         graph,
                         graph_name=graph_name,
-                        verify=False,
+                        verify=self.verify,
                         fault_plan=self.fault_plan,
                         workers=self.workers,
                         **_algo_kwargs(algo, beta, attempt_seed, extra),
                     )
-                    if self.verify:
-                        verify_labeling(graph, prof.result.labels)
                 except ReproError as exc:
                     # Only the package's own failure hierarchy is
                     # retryable: a ConvergenceError, VerificationError,

@@ -35,7 +35,7 @@ import contextlib
 import threading
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 import numpy as np
 
@@ -98,6 +98,13 @@ class ExecutionContext:
     metrics:
         The :mod:`repro.obs` counter/histogram registry; defaults to
         the no-op :data:`~repro.obs.metrics.NULL_METRICS`.
+    forest_sink:
+        A list that decomp-CC runs append their labeling's certificate
+        to: a parent array over the input graph whose trees span its
+        components (checked by
+        :func:`~repro.analysis.verify.verify_labeling`).  ``None``, the
+        default, records nothing, so unverified runs execute no
+        certificate code.
     """
 
     tracker: CostTracker = field(default_factory=lambda: _NULL)
@@ -110,6 +117,7 @@ class ExecutionContext:
     rng: Optional[np.random.Generator] = None
     tracer: NullTracer = field(default_factory=lambda: NULL_TRACER)
     metrics: NullMetrics = field(default_factory=lambda: NULL_METRICS)
+    forest_sink: Optional[List[np.ndarray]] = None
 
     def __post_init__(self) -> None:
         self.workers = max(1, int(self.workers))

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.analysis.verify import verify_labeling
 from repro.engine.backend import ExecutionBackend, resolve_backend
 from repro.engine.workspace import make_workspace
-from repro.errors import ParameterError
+from repro.errors import ParameterError, VerificationError
 from repro.experiments.harness import RunProfile
 from repro.experiments.registry import build_graph, get_algorithm
 from repro.graphs.csr import CSRGraph
@@ -88,7 +88,10 @@ def execute_profiled(
     budget).  *workers* binds the chunked backend's thread count for
     this run (``None`` inherits the ambient context's count).
     Verification happens outside the context so its costs never
-    pollute the run's profile.
+    pollute the run's profile; it is its own ``verify`` span, timed in
+    ``RunProfile.verify_seconds``.  A verified run collects its
+    certificate through the context's ``forest_sink`` (decomp-CC
+    records one) and drops it once checked.
     """
     spec = get_algorithm(algorithm)
     overrides: Dict[str, object] = {
@@ -102,6 +105,9 @@ def execute_profiled(
         overrides["sanitizer"] = PramSanitizer(halt_on_race=halt_on_race)
     if workspace is not None:
         overrides["workspace"] = workspace
+    sink: List[np.ndarray] = []
+    if verify:
+        overrides["forest_sink"] = sink
     ctx = current_context().child(**overrides)
     tracer = ctx.tracer
     span = tracer.span("run", "run") if tracer.enabled else None
@@ -137,14 +143,25 @@ def execute_profiled(
             )
             span.close()
     wall = time.perf_counter() - t0
+    verify_seconds = 0.0
     if verify:
-        verify_labeling(graph, result.labels)
+        certificate = sink.pop() if sink else None
+        t1 = time.perf_counter()
+        with tracer.span("verify", "verify") as vspan:
+            try:
+                path = verify_labeling(graph, result.labels, certificate=certificate)
+            except VerificationError as exc:
+                vspan.set(rejected=exc.reason)
+                raise
+            vspan.set(path=path)
+        verify_seconds = time.perf_counter() - t1
     return RunProfile(
         algorithm=algorithm,
         graph_name=graph_name,
         result=result,
         tracker=ctx.tracker,
         wall_seconds=wall,
+        verify_seconds=verify_seconds,
     )
 
 
